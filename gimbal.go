@@ -12,9 +12,10 @@
 //		gimbal.WithScheme(gimbal.SchemeGimbal),
 //		gimbal.WithCondition(gimbal.Fragmented),
 //	)
-//	reader, _ := jbof.StartWorkload(0, gimbal.WithReadFraction(1),
+//	ssd0, _ := jbof.WholeSSDVolume(0)
+//	reader, _ := ssd0.StartWorkload(gimbal.WithReadFraction(1),
 //		gimbal.WithIOSize(4096), gimbal.WithQueueDepth(32))
-//	writer, _ := jbof.StartWorkload(0, gimbal.WithReadFraction(0),
+//	writer, _ := ssd0.StartWorkload(gimbal.WithReadFraction(0),
 //		gimbal.WithIOSize(4096), gimbal.WithQueueDepth(32))
 //	s.Run(2 * time.Second) // two seconds of simulated time
 //	fmt.Println(reader.BandwidthMBps(), writer.BandwidthMBps())
@@ -313,18 +314,6 @@ func (j *JBOF) checkSSD(ssdIdx int) error {
 	return nil
 }
 
-// Capacity returns the usable bytes of one SSD.
-//
-// Deprecated: volumes are the unit of provisioning now; use
-// Volume.Capacity (WholeSSDVolume(ssdIdx) for a raw device).
-func (j *JBOF) Capacity(ssdIdx int) (int64, error) {
-	v, err := j.WholeSSDVolume(ssdIdx)
-	if err != nil {
-		return 0, err
-	}
-	return v.Capacity(), nil
-}
-
 // Priority mirrors the NVMe-oF request priority tag (§3.5).
 type Priority int
 
@@ -434,24 +423,6 @@ func WithRetry(p RetryPolicy) WorkloadOption {
 	return func(c *workloadConfig) { rp := p.internal(); c.retry = &rp }
 }
 
-// StartWorkload attaches a new tenant running the described stream against
-// one SSD. The stream runs until Stop (or for 10 simulated hours). The
-// stream's index in StartWorkload order is its address for fabric fault
-// events (FaultEvent.Stream).
-//
-// Deprecated: volumes are the unit of provisioning now; use
-// Volume.StartWorkload (CreateVolume for a managed volume,
-// WholeSSDVolume(ssdIdx) for the raw device this call targets). This
-// wrapper runs against the auto-provisioned whole-SSD identity volume
-// and behaves exactly as before.
-func (j *JBOF) StartWorkload(ssdIdx int, opts ...WorkloadOption) (*Stream, error) {
-	v, err := j.WholeSSDVolume(ssdIdx)
-	if err != nil {
-		return nil, err
-	}
-	return v.StartWorkload(opts...)
-}
-
 // Stream is a running workload with live metrics.
 type Stream struct {
 	sim    *Sim
@@ -555,13 +526,8 @@ type View struct {
 	Failed   bool
 }
 
-// View returns the SSD's virtual view. The error is ErrNoView unless the
-// JBOF runs the Gimbal scheme, ErrBadSSDIndex for an index outside it.
-//
-// Deprecated: volumes are the unit of provisioning now; use Volume.View
-// (WholeSSDVolume(ssdIdx) for a raw device).
-func (j *JBOF) View(ssdIdx int) (View, error) { return j.ssdView(ssdIdx) }
-
+// ssdView returns one SSD's virtual view. The error is ErrNoView unless
+// the JBOF runs the Gimbal scheme, ErrBadSSDIndex for an index outside it.
 func (j *JBOF) ssdView(ssdIdx int) (View, error) {
 	if err := j.checkSSD(ssdIdx); err != nil {
 		return View{}, err

@@ -11,8 +11,9 @@
 // tenants when the contender count changes (that loop is quadratic under
 // churny 100k-tenant populations) but derived lazily from an epoch-stamped
 // global share, reconciled per tenant the next time its slot state is
-// touched. The eager loop is retained behind Config.EagerRedistribute so a
-// differential test can pin the two modes to byte-identical decisions.
+// touched. The eager loop is retained behind the unexported DRR.eager flag,
+// which only the differential test sets, so it can pin the two modes to
+// byte-identical decisions.
 package sched
 
 import (
@@ -31,12 +32,6 @@ type Config struct {
 	// decision-for-decision identical to the paper's §3.5 DRR. Weights
 	// below 1 are clamped to 1.
 	ClassWeights []int
-
-	// EagerRedistribute restores the original allotment loop that walks
-	// every registered tenant on each contend/release. It exists only so
-	// the differential test can pin lazy reconciliation to byte-identical
-	// scheduling decisions; production paths leave it false.
-	EagerRedistribute bool
 }
 
 // DefaultConfig returns the paper's settings.
@@ -310,6 +305,12 @@ type DRR struct {
 	gen uint64
 	per int
 
+	// eager restores the original allotment loop that walks every
+	// registered tenant on each contend/release. Only the differential
+	// test sets it (before any tenant registers), to pin lazy
+	// reconciliation to byte-identical scheduling decisions.
+	eager bool
+
 	// all mirrors the tenants map as a slice. The hot path never walks
 	// it; it exists for the eager differential mode and O(1) swap-removal
 	// bookkeeping on Unregister.
@@ -526,7 +527,7 @@ func (d *DRR) release(ts *tenant) {
 }
 
 // redistribute recomputes the global per-contender share and opens a new
-// epoch. O(1): no tenant is visited. The eager mode restores the original
+// epoch. O(1): no tenant is visited. The eager flag restores the original
 // walk over every registered tenant (differential testing only).
 func (d *DRR) redistribute() {
 	n := d.activeIO
@@ -539,7 +540,7 @@ func (d *DRR) redistribute() {
 	}
 	d.per = per
 	d.gen++
-	if d.cfg.EagerRedistribute {
+	if d.eager {
 		for _, ts := range d.all {
 			ts.slots.SetAllot(per)
 			ts.allotGen = d.gen

@@ -21,8 +21,12 @@ type drrDriver struct {
 	log      []string
 }
 
-func newDriver(cfg Config, nTenants int) *drrDriver {
+// newDriver builds a driver over nTenants registered tenants; eager
+// selects the retained O(tenants) redistribution walk, set before any
+// tenant registers.
+func newDriver(cfg Config, nTenants int, eager bool) *drrDriver {
 	dr := &drrDriver{d: New(cfg, plainWeight)}
+	dr.d.eager = eager
 	for i := 0; i < nTenants; i++ {
 		t := nvme.NewTenant(i, fmt.Sprintf("t%d", i))
 		t.Class = i % 2 // exercised only when cfg has >1 class
@@ -108,13 +112,11 @@ func TestLazyEagerDifferential(t *testing.T) {
 		{"two-class", []int{4, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			lazyCfg := DefaultConfig()
-			lazyCfg.ClassWeights = tc.weights
-			eagerCfg := lazyCfg
-			eagerCfg.EagerRedistribute = true
+			cfg := DefaultConfig()
+			cfg.ClassWeights = tc.weights
 
-			lazy := newDriver(lazyCfg, 12)
-			eager := newDriver(eagerCfg, 12)
+			lazy := newDriver(cfg, 12, false)
+			eager := newDriver(cfg, 12, true)
 
 			// Identical op streams: fork one seed into two identical RNGs.
 			rngL := sim.NewRNG(0xd1ffe7)
@@ -300,8 +302,8 @@ func TestFlatModeMatchesSingleClassHierarchy(t *testing.T) {
 	cfgA := DefaultConfig()
 	cfgB := DefaultConfig()
 	cfgB.ClassWeights = []int{7} // weight irrelevant when flat
-	da := newDriver(cfgA, 6)
-	db := newDriver(cfgB, 6)
+	da := newDriver(cfgA, 6, false)
+	db := newDriver(cfgB, 6, false)
 	ra, rb := sim.NewRNG(42), sim.NewRNG(42)
 	for i := 0; i < 20000; i++ {
 		da.step(ra)

@@ -68,8 +68,8 @@ type TargetStats struct {
 }
 
 // StatsSnapshot builds the live telemetry snapshot. Call in scheduler
-// context (the admin handler takes the RealScheduler lock, or every shard
-// lock on a sharded target).
+// context (the admin handler takes every shard lock of the reactor
+// target).
 func (t *Target) StatsSnapshot() *TargetStats {
 	now := t.clk.Now()
 	out := &TargetStats{NowNs: now, Scheme: t.cfg.Scheme.String()}
@@ -138,28 +138,9 @@ func (t *Target) StatsSnapshot() *TargetStats {
 	return out
 }
 
-// AdminMux builds the observability endpoint of a live target:
-//
-//	GET /metrics  Prometheus text exposition of the hub registry
-//	GET /stats    JSON TargetStats snapshot (under the scheduler lock)
-//	GET /trace    captured per-IO lifecycle spans as JSONL; filters:
-//	              ?tenant=<name>   only that tenant's spans
-//	              ?phase=<name>    only spans whose dominant phase matches
-//	                               (fabric|queue|vslot|pacing|device|gc|complete)
-//	              ?n=<limit>       at most n lines, newest winning
-//	GET /slo      JSON SLOReport: per-tenant objectives, multi-window burn
-//	              rates, and correlated degrade/fault events
-//
-// The caller mounts pprof and serves the mux (cmd/gimbald does both).
-// hub.Reg should have GatherLock set to rs so scrapes serialize with the
-// pipelines.
-func AdminMux(rs LockedClock, target *Target, hub *obs.Hub) *http.ServeMux {
-	return AdminMuxMetrics(rs, target, hub, hub.Reg)
-}
-
 // LockedClock is the serialization-plus-clock surface admin snapshots
-// need: a single RealScheduler (one-lock target) or RealShards (the
-// sharded reactor target, whose Lock takes every shard in order).
+// need: RealShards for the reactor target, whose Lock takes every shard
+// in order.
 type LockedClock interface {
 	sync.Locker
 	Now() int64
@@ -171,11 +152,23 @@ type MetricsWriter interface {
 	WritePrometheus(w io.Writer) error
 }
 
-// AdminMuxMetrics is AdminMux with an explicit /metrics source, for the
-// sharded target whose scrape joins per-reactor registries at gather time
-// (each under its own shard lock — a scrape never stops the whole
-// datapath).
-func AdminMuxMetrics(rs LockedClock, target *Target, hub *obs.Hub, mw MetricsWriter) *http.ServeMux {
+// AdminMux builds the observability endpoint of a live target:
+//
+//	GET /metrics  Prometheus text exposition of mw
+//	GET /stats    JSON TargetStats snapshot (under rs's lock)
+//	GET /trace    captured per-IO lifecycle spans as JSONL; filters:
+//	              ?tenant=<name>   only that tenant's spans
+//	              ?phase=<name>    only spans whose dominant phase matches
+//	                               (fabric|queue|vslot|pacing|device|gc|complete)
+//	              ?n=<limit>       at most n lines, newest winning
+//	GET /slo      JSON SLOReport: per-tenant objectives, multi-window burn
+//	              rates, and correlated degrade/fault events
+//
+// mw is typically an obs.Group joining the hub registry with per-reactor
+// registry shards at gather time, each under its own shard lock, so a
+// scrape never stops the whole datapath. The caller mounts pprof and
+// serves the mux (cmd/gimbald does both).
+func AdminMux(rs LockedClock, target *Target, hub *obs.Hub, mw MetricsWriter) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

@@ -13,42 +13,45 @@ import (
 	"gimbal/internal/ssd"
 )
 
-// startObservedTCP builds a live Gimbal target with the full telemetry
-// stack attached, as cmd/gimbald does: registry, a full-capture tracer,
+// startObservedTCP builds a live Gimbal reactor target with the full
+// telemetry stack attached, as cmd/gimbald does: a hub registry for the
+// transport gauges plus one registry shard per reactor gathered under
+// that reactor's lock and joined by an obs.Group, a full-capture tracer,
 // an SLO engine, and the shared event log.
-func startObservedTCP(t *testing.T) (*TCPTarget, string, *obs.Hub) {
+func startObservedTCP(t *testing.T) (*TCPReactors, *obs.Hub, *obs.Group) {
 	t.Helper()
-	rs := sim.NewRealScheduler()
+	shards := sim.NewRealShards(1)
 	p := ssd.DCT983()
 	p.UsableBytes = 256 << 20
-	dev := ssd.New(rs, p)
+	dev := ssd.New(shards.Shard(0), p)
 	dev.Precondition(ssd.Clean, sim.NewRNG(1))
-	tgt := NewTarget(rs, []ssd.Device{dev}, DefaultTargetConfig(SchemeGimbal))
+	tgt := NewReactorTarget(shards, []ssd.Device{dev}, DefaultTargetConfig(SchemeGimbal))
 
 	hub := obs.NewHub(obs.NewRegistry())
-	hub.Reg.GatherLock = rs
 	hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 1024, Mode: obs.TraceFull})
 	hub.Events = obs.NewEventLog(64)
 	hub.SLO = obs.NewSLOEngine(obs.SLOConfig{
 		Default: obs.SLO{LatencyTargetNs: int64(time.Second), LatencyGoal: 0.999},
 	})
 	hub.SLO.SetEventLog(hub.Events)
-	rs.Lock()
-	tgt.AttachObs(hub)
-	rs.Unlock()
+	shardRegs := []*obs.Registry{obs.NewRegistry()}
+	shardRegs[0].GatherLock = shards.Shard(0)
 
-	srv, err := ServeTCP(rs, tgt, "127.0.0.1:0")
+	srv, err := ServeTCPReactors(shards, tgt, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.AttachObs(hub.Reg)
 	t.Cleanup(func() { srv.Close() })
-	return srv, srv.Addr(), hub
+	shards.Lock()
+	tgt.AttachObsSharded(hub, srv.PipelineRegs(shardRegs))
+	shards.Unlock()
+	srv.AttachObs(hub, shardRegs)
+	return srv, hub, obs.NewGroup(hub.Reg, shardRegs[0])
 }
 
 func TestAdminEndpointLiveTarget(t *testing.T) {
-	srv, addr, hub := startObservedTCP(t)
-	c, err := DialTCP(addr, SchemeGimbal)
+	srv, hub, group := startObservedTCP(t)
+	c, err := DialTCP(srv.Addr(), SchemeGimbal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestAdminEndpointLiveTarget(t *testing.T) {
 		}
 	}
 
-	mux := AdminMux(srv.RS, srv.target, hub)
+	mux := AdminMux(srv.shards, srv.target, hub, group)
 
 	// /metrics: Prometheus text format with the pipeline instruments.
 	rec := httptest.NewRecorder()
@@ -77,7 +80,7 @@ func TestAdminEndpointLiveTarget(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE gimbal_pacing_stalls_total counter",
 		`gimbal_submits_total{ssd="0"}`,
-		"fabric_rx_capsules_total 64",
+		`fabric_reactor_rx_capsules{reactor="0"} 64`,
 		"fabric_open_sessions 1",
 		`tenant_completed_ops_total{ssd="0",tenant=`,
 		"ssd_write_amplification",
@@ -171,8 +174,8 @@ func TestAdminEndpointLiveTarget(t *testing.T) {
 }
 
 func TestShutdownDrainsInflight(t *testing.T) {
-	srv, addr, _ := startObservedTCP(t)
-	c, err := DialTCP(addr, SchemeGimbal)
+	srv, _, _ := startObservedTCP(t)
+	c, err := DialTCP(srv.Addr(), SchemeGimbal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,11 @@ import (
 	"gimbal/internal/ssd"
 )
 
-// This file is the live reactor datapath (DESIGN.md §4.1): the sharded
-// alternative to ServeTCP's single-lock target. Each SSD pipeline runs on
-// one RealScheduler shard owned by one reactor goroutine — shared-nothing,
-// like the per-SSD SPDK reactors of the paper's Stingray prototype — and
-// bounded SPSC rings carry work between the transport goroutines:
+// This file is the live reactor datapath (DESIGN.md §4.1), the only TCP
+// server of the target. Each SSD pipeline runs on one RealScheduler shard
+// owned by one reactor goroutine — shared-nothing, like the per-SSD SPDK
+// reactors of the paper's Stingray prototype — and bounded SPSC rings
+// carry work between the transport goroutines:
 //
 //	conn reader ──cmd ring──▶ reactor (shard j) ──cpl ring──▶ conn writer
 //	     ▲                                                        │
@@ -168,10 +168,10 @@ type rconn struct {
 	readerExit  chan struct{}
 }
 
-// TCPReactors serves a sharded Target over TCP with per-SSD reactors. It
-// is the multi-core sibling of TCPTarget: same wire protocol, same tenant
-// bootstrap, but ingress for SSD i runs on shard i%R under that shard's
-// lock only.
+// TCPReactors serves a sharded Target over TCP with per-SSD reactors:
+// the capsule wire protocol of capsule.go, one tenant per (connection,
+// namespace), and ingress for SSD i on shard i%R under that shard's lock
+// only.
 type TCPReactors struct {
 	shards *sim.RealShards
 	target *Target

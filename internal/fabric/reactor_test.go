@@ -2,8 +2,10 @@ package fabric
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -108,20 +110,117 @@ func TestReactorInvalidNSID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	rsp, err := c.Do(&CommandCapsule{Opcode: nvme.OpRead, NSID: 9, Length: 4096})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		cmd  CommandCapsule
+	}{
+		{"bad namespace", CommandCapsule{Opcode: nvme.OpRead, NSID: 9, Length: 4096}},
+		{"unaligned length", CommandCapsule{Opcode: nvme.OpRead, NSID: 0, Length: 100}},
+	} {
+		rsp, err := c.Do(&tc.cmd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rsp.Status == nvme.StatusOK {
+			t.Fatalf("%s should fail", tc.name)
+		}
 	}
-	if rsp.Status == nvme.StatusOK {
-		t.Fatal("bad namespace should fail")
-	}
-	// The connection must stay usable after the error reply.
-	rsp, err = c.DoIO(nvme.OpRead, 0, 0, 4096, nil)
+	// The connection must stay usable after the error replies.
+	rsp, err := c.DoIO(nvme.OpRead, 0, 0, 4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rsp.Status != nvme.StatusOK {
 		t.Fatalf("follow-up read status %v", rsp.Status)
+	}
+}
+
+// TestReactorHostileFrames opens raw connections that violate the framing
+// — an oversized length prefix, a body cut short by a half-close, an
+// undecodable capsule — and checks the server closes each of them while a
+// well-behaved client on the same target keeps completing IO, and that the
+// session and in-flight accounting return to the good client alone.
+func TestReactorHostileFrames(t *testing.T) {
+	srv, _ := startReactors(t, SchemeVanilla, 2, 2)
+	good, err := DialTCP(srv.Addr(), SchemeVanilla)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+
+	stop := make(chan struct{})
+	goodErr := make(chan error, 1)
+	go func() {
+		defer close(goodErr)
+		for j := 0; ; j++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rsp, err := good.DoIO(nvme.OpRead, uint8(j%2), int64(j%64)*4096, 4096, nil)
+			if err != nil {
+				goodErr <- err
+				return
+			}
+			if rsp.Status != nvme.StatusOK {
+				goodErr <- &netError{rsp.Status}
+				return
+			}
+		}
+	}()
+
+	prefix := func(n uint32) []byte { return binary.BigEndian.AppendUint32(nil, n) }
+	for _, tc := range []struct {
+		name      string
+		wire      []byte
+		halfClose bool
+	}{
+		{"oversized prefix", prefix(maxFrame + 1), false},
+		{"truncated body", append(prefix(64), 1, 2, 3), true},
+		{"undecodable capsule", append(prefix(3), capCommand, 0, 0), false},
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(tc.wire); err != nil {
+			t.Fatalf("%s: write: %v", tc.name, err)
+		}
+		if tc.halfClose {
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatalf("%s: half-close: %v", tc.name, err)
+			}
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(make([]byte, 64))
+		if err == nil {
+			t.Fatalf("%s: server replied %d bytes instead of closing", tc.name, n)
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: server left the connection open", tc.name)
+		}
+		conn.Close()
+	}
+
+	// The hostile sessions retire asynchronously; the good one stays.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.sessions.Load() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions = %d after hostile connections closed, want 1", srv.sessions.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	if err := <-goodErr; err != nil {
+		t.Fatalf("well-behaved client failed: %v", err)
+	}
+	rsp, err := good.DoIO(nvme.OpRead, 0, 0, 4096, nil)
+	if err != nil || rsp.Status != nvme.StatusOK {
+		t.Fatalf("well-behaved client after hostile frames: %v, %+v", err, rsp)
+	}
+	if n := srv.Inflight(); n != 0 {
+		t.Fatalf("inflight = %d after hostile connections, want 0", n)
 	}
 }
 
@@ -166,6 +265,10 @@ func TestReactorConcurrentClients(t *testing.T) {
 		t.Fatalf("inflight = %d after all clients done", n)
 	}
 }
+
+type netError struct{ s nvme.Status }
+
+func (e *netError) Error() string { return "unexpected status" }
 
 func TestReactorGimbalCreditPiggyback(t *testing.T) {
 	srv := startReactorsSSD(t, SchemeGimbal, 2, 2)

@@ -1,173 +1,34 @@
 package fabric
 
 import (
-	"sync"
+	"errors"
 	"testing"
 	"time"
 
 	"gimbal/internal/nvme"
-	"gimbal/internal/sim"
-	"gimbal/internal/ssd"
 )
 
-// startTCP spins up a real TCP target backed by a wall-clock SSD model.
-func startTCP(t *testing.T, scheme Scheme) (*TCPTarget, string) {
-	t.Helper()
-	rs := sim.NewRealScheduler()
-	p := ssd.DCT983()
-	p.UsableBytes = 256 << 20
-	dev := ssd.New(rs, p)
-	dev.Precondition(ssd.Clean, sim.NewRNG(1))
-	tgt := NewTarget(rs, []ssd.Device{dev}, DefaultTargetConfig(scheme))
-	srv, err := ServeTCP(rs, tgt, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, srv.Addr()
-}
-
-func TestTCPReadWriteRoundTrip(t *testing.T) {
-	_, addr := startTCP(t, SchemeVanilla)
-	c, err := DialTCP(addr, SchemeVanilla)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	data := make([]byte, 8192)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	rsp, err := c.DoIO(nvme.OpWrite, 0, 4096, len(data), data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rsp.Status != nvme.StatusOK {
-		t.Fatalf("write status %v", rsp.Status)
-	}
-	rsp, err = c.DoIO(nvme.OpRead, 0, 4096, 8192, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rsp.Status != nvme.StatusOK {
-		t.Fatalf("read status %v", rsp.Status)
-	}
-	if len(rsp.Data) != 8192 {
-		t.Fatalf("read returned %d bytes, want 8192", len(rsp.Data))
-	}
-}
-
-func TestTCPInvalidRequestGetsErrorStatus(t *testing.T) {
-	_, addr := startTCP(t, SchemeVanilla)
-	c, err := DialTCP(addr, SchemeVanilla)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Unaligned length.
-	rsp, err := c.Do(&CommandCapsule{Opcode: nvme.OpRead, NSID: 0, SLBA: 0, Length: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rsp.Status == nvme.StatusOK {
-		t.Fatal("unaligned read should fail")
-	}
-	// Bad namespace.
-	rsp, err = c.Do(&CommandCapsule{Opcode: nvme.OpRead, NSID: 9, Length: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rsp.Status == nvme.StatusOK {
-		t.Fatal("bad namespace should fail")
-	}
-}
-
-func TestTCPConcurrentClients(t *testing.T) {
-	_, addr := startTCP(t, SchemeGimbal)
-	const clients = 4
-	const opsEach = 100
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c, err := DialTCP(addr, SchemeGimbal)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			for j := 0; j < opsEach; j++ {
-				off := int64(id*opsEach+j) * 4096 % (128 << 20)
-				rsp, err := c.DoIO(nvme.OpRead, 0, off, 4096, nil)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if rsp.Status != nvme.StatusOK {
-					errs <- &netError{rsp.Status}
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-}
-
-type netError struct{ s nvme.Status }
-
-func (e *netError) Error() string { return "unexpected status" }
-
-func TestTCPGimbalCreditPiggyback(t *testing.T) {
-	_, addr := startTCP(t, SchemeGimbal)
-	c, err := DialTCP(addr, SchemeGimbal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var lastCredit uint32
-	for j := 0; j < 200; j++ {
-		rsp, err := c.DoIO(nvme.OpRead, 0, int64(j)*4096, 4096, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rsp.Credit > 0 {
-			lastCredit = rsp.Credit
-		}
-	}
-	if lastCredit == 0 {
-		t.Fatal("no credit ever piggybacked on completions")
-	}
-}
-
 func TestTCPClientFailsPendingOnClose(t *testing.T) {
-	srv, addr := startTCP(t, SchemeVanilla)
-	c, err := DialTCP(addr, SchemeVanilla)
+	srv, _ := startReactors(t, SchemeVanilla, 1, 1)
+	c, err := DialTCP(srv.Addr(), SchemeVanilla)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := c.Go(&CommandCapsule{Opcode: nvme.OpRead, NSID: 0, Length: 4096})
-	// Give the request a chance to leave, then kill the server.
-	res := <-ch
-	_ = res
+	// Let one request complete, then kill the server.
+	<-c.Go(&CommandCapsule{Opcode: nvme.OpRead, NSID: 0, Length: 4096})
 	srv.Close()
 	c.conn.Close()
 	select {
 	case res := <-c.Go(&CommandCapsule{Opcode: nvme.OpRead, NSID: 0, Length: 4096}):
 		if res.err == nil {
 			// The write can race ahead of the close; the next call must fail.
-			res2 := <-c.Go(&CommandCapsule{Opcode: nvme.OpRead, NSID: 0, Length: 4096})
-			if res2.err == nil {
+			res = <-c.Go(&CommandCapsule{Opcode: nvme.OpRead, NSID: 0, Length: 4096})
+			if res.err == nil {
 				t.Fatal("calls after close should fail")
 			}
+		}
+		if !errors.Is(res.err, ErrClosed) {
+			t.Fatalf("call after close failed with %v, want ErrClosed", res.err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("call after close hung")

@@ -63,8 +63,8 @@ func WithQoSClasses(spec string) JBOFOption {
 
 // Volume is a provisioned namespace on a JBOF: either a thin- or
 // thick-provisioned managed volume (extent-mapped over the JBOF's SSDs,
-// snapshot/clone-capable) or the auto-provisioned whole-SSD identity
-// volume backing the deprecated raw-index entry points.
+// snapshot/clone-capable) or the whole-SSD identity volume of one raw
+// device (WholeSSDVolume).
 type Volume struct {
 	j    *JBOF
 	v    *volume.Volume // nil for whole-SSD identity volumes
@@ -198,10 +198,9 @@ func (j *JBOF) VolumeUsage() VolumeUsage {
 	}
 }
 
-// WholeSSDVolume returns the identity volume covering one raw SSD — the
-// auto-provisioned target the deprecated index-based entry points run
-// against. It bypasses the mapping layer entirely: offsets pass through
-// unchanged, so its behavior is bit-identical to the pre-volume API.
+// WholeSSDVolume returns the identity volume covering one raw SSD, or
+// ErrBadSSDIndex for an index outside the JBOF. It bypasses the mapping
+// layer entirely: offsets pass through to the device unchanged.
 func (j *JBOF) WholeSSDVolume(ssdIdx int) (*Volume, error) {
 	if err := j.checkSSD(ssdIdx); err != nil {
 		return nil, err
