@@ -7,13 +7,20 @@
 //
 // The live datapath is sharded into per-SSD reactors: -reactors picks the
 // shard count (-1 = min(GOMAXPROCS, ssds)), and SSD i runs on shard i%R.
-// See DESIGN.md §4.1 "live reactor datapath".
+// See DESIGN.md §4.1 "live reactor datapath". Each SSD is the stack that
+// fabric.NewStack builds: NAND model, fault layer, and the -tier fast tier
+// on top when set.
+//
+// -qos-classes names the volume QoS menu and compiles the scheduler's
+// class weights (empty = flat single-class DRR).
 //
 // A second listener (-admin, default 127.0.0.1:9420) serves the
 // observability endpoint:
 //
-//	/metrics        Prometheus text format (control loop, SSD, fabric)
-//	/stats          JSON snapshot: per-tenant bandwidth, credits, write cost
+//	/metrics        Prometheus text format (control loop, ssd_* NAND and
+//	                tier telemetry, fabric)
+//	/stats          JSON snapshot: per-tenant bandwidth, credits, write cost,
+//	                and each SSD's device block (WA, GC moves, free blocks)
 //	/trace          captured per-IO lifecycle spans, JSONL; filter with
 //	                ?tenant= ?phase= ?n=
 //	/slo            per-tenant SLO attainment, burn rates, correlated events
@@ -21,7 +28,8 @@
 //	/debug/pprof/   the standard Go profiler
 //
 // Span capture policy is -trace-mode: "sampled" (default) captures every
-// IO slower than -trace-slow plus every -trace-nth IO; "full" captures all.
+// IO slower than -trace-slow plus every -trace-nth IO; "full" captures all;
+// "off" disables tracing.
 // The SLO engine is armed with -slo-target/-slo-goal.
 //
 // Drive it with cmd/gimbalcli; `gimbalcli stats` renders /stats and
@@ -68,7 +76,6 @@ func main() {
 		scheme    = flag.String("scheme", "gimbal", "scheduler: gimbal|vanilla|reflex|flashfq|parda")
 		cond      = flag.String("cond", "clean", "precondition: fresh|clean|fragmented")
 		capacity  = flag.Int64("capacity", 2<<30, "per-SSD usable bytes")
-		traceCap  = flag.Int("trace", 8192, "per-IO trace ring capacity (0 disables tracing)")
 		traceMode = flag.String("trace-mode", "sampled", "span capture policy: off|sampled|full (sampled = every slow IO + 1/N of the rest)")
 		traceSlow = flag.Duration("trace-slow", time.Millisecond, "sampled mode: always capture IOs at least this slow")
 		traceNth  = flag.Int("trace-nth", 64, "sampled mode: capture every Nth IO regardless of latency")
@@ -77,8 +84,7 @@ func main() {
 		drain     = flag.Duration("drain", 3*time.Second, "graceful shutdown drain timeout")
 		faults    = flag.String("faults", "", "JSON fault plan armed at startup (SSD faults only)")
 		recovery  = flag.Bool("recovery", true, "enable fail-fast + graceful degradation on the gimbal scheme")
-		classW    = flag.String("class-weights", "", "comma-separated QoS class weights for the gimbal scheduler (e.g. 4,2,1); empty = flat single-class DRR")
-		qosFlag   = flag.String("qos-classes", "", "named QoS classes for the volume control plane and scheduler (e.g. gold=8,silver=4,besteffort=1); supersedes -class-weights")
+		qosFlag   = flag.String("qos-classes", "", "named QoS classes for the volume control plane and scheduler (e.g. gold=8,silver=4,besteffort=1); empty = flat single-class DRR")
 		tierFlag  = flag.String("tier", "", "fast-tier cache per SSD: a fraction of -capacity (e.g. 0.1) or a byte size (e.g. 256MiB); empty disables")
 		token     = flag.String("admin-token", "", "bearer token required on mutating volume endpoints (empty leaves them open)")
 	)
@@ -89,27 +95,16 @@ func main() {
 		log.Fatal(err)
 	}
 	tcfg := fabric.DefaultTargetConfig(sch)
-	// -qos-classes is the one-stop policy knob: it names the volume QoS
-	// menu AND compiles the scheduler's class weights. The raw
-	// -class-weights flag remains for weight-only runs without the volume
-	// layer's class names.
+	// -qos-classes is the one policy knob: it names the volume QoS menu
+	// AND compiles the scheduler's class weights.
 	classes := volume.DefaultClasses()
 	if *qosFlag != "" {
-		if *classW != "" {
-			log.Fatalf("-qos-classes and -class-weights are mutually exclusive")
-		}
 		cs, err := volume.ParseClasses(*qosFlag)
 		if err != nil {
 			log.Fatalf("-qos-classes: %v", err)
 		}
 		classes = cs
 		tcfg.Gimbal.Sched.ClassWeights = cs.Compile().ClassWeights
-	} else if *classW != "" {
-		weights, err := parseClassWeights(*classW)
-		if err != nil {
-			log.Fatalf("-class-weights: %v", err)
-		}
-		tcfg.Gimbal.Sched.ClassWeights = weights
 	}
 	var condition ssd.Condition
 	switch *cond {
@@ -141,57 +136,28 @@ func main() {
 	}
 	shards := sim.NewRealShards(R)
 	clkFor := func(i int) sim.Scheduler { return shards.Shard(i % R) }
-	var tierParams tier.Params
+	var tp *tier.Params
 	if *tierFlag != "" {
 		tierBytes, err := parseTierSize(*tierFlag, *capacity)
 		if err != nil {
 			log.Fatalf("-tier: %v", err)
 		}
-		tierParams = tier.DefaultParams(tierBytes)
-		if err := tierParams.Validate(); err != nil {
+		p := tier.DefaultParams(tierBytes)
+		if err := p.Validate(); err != nil {
 			log.Fatalf("-tier: %v", err)
 		}
+		tp = &p
 	}
-	rng := sim.NewRNG(uint64(os.Getpid()))
-	var devs []ssd.Device
-	var ssdModels []*ssd.SSD
-	var wraps []*fault.Device
-	var tiers []*tier.Device
-	for i := 0; i < *ssds; i++ {
-		p := ssd.DCT983()
-		p.UsableBytes = *capacity
-		d := ssd.New(clkFor(i), p)
-		if *tierFlag != "" {
-			// Tag before preconditioning: tiered and untiered stacks must
-			// not share an FTL snapshot cache entry.
-			d.SetSnapshotTag(tierParams.SnapshotTag())
-		}
-		log.Printf("preconditioning ssd %d (%s, %s)...", i, p.Name, condition)
-		d.Precondition(condition, rng.Fork())
-		w := fault.Wrap(clkFor(i), d)
-		var dev ssd.Device = w
-		if *tierFlag != "" {
-			// Tier outermost, above the fault layer, so NAND faults never
-			// slow tier hits.
-			ft := tier.New(clkFor(i), w, tierParams)
-			tiers = append(tiers, ft)
-			dev = ft
-		}
-		devs = append(devs, dev)
-		ssdModels = append(ssdModels, d)
-		wraps = append(wraps, w)
-	}
-	target := fabric.NewReactorTarget(shards, devs, tcfg)
+	params := ssd.DCT983()
+	params.UsableBytes = *capacity
+	log.Printf("preconditioning %d ssds (%s, %s)...", *ssds, params.Name, condition)
+	stack := fabric.NewStack(*ssds, clkFor, params, condition, tp, sim.NewRNG(uint64(os.Getpid())))
+	target := fabric.NewReactorTarget(shards, stack.Devs, tcfg)
 	if *recovery && sch == fabric.SchemeGimbal {
 		for i := 0; i < *ssds; i++ {
 			if g := target.Pipeline(i).Gimbal; g != nil {
 				g.EnableRecovery(core.DefaultRecoveryConfig())
 			}
-		}
-	}
-	for i, ft := range tiers {
-		if g := target.Pipeline(i).Gimbal; g != nil {
-			g.SetCostModel(ft)
 		}
 	}
 	// Telemetry: per-reactor registries, the span tracer, the per-tenant
@@ -215,9 +181,8 @@ func main() {
 	}
 	group := obs.NewGroup(members...)
 	hub := obs.NewHub(reg)
-	if *traceCap > 0 && mode != obs.TraceOff {
+	if mode != obs.TraceOff {
 		hub.Tracer = obs.NewTracer(obs.TracerConfig{
-			Capacity:    *traceCap,
 			Mode:        mode,
 			SlowNs:      int64(*traceSlow),
 			SampleEvery: *traceNth,
@@ -251,13 +216,7 @@ func main() {
 			if len(sub.Events) == 0 {
 				continue
 			}
-			eng := fault.NewEngine(clk, wraps)
-			eng.Stall = func(ssdIdx, die int, dur int64) error {
-				return ssdModels[ssdIdx].InjectDieStall(die, dur)
-			}
-			if len(tiers) > 0 {
-				eng.Tier = func(ssdIdx int, active bool) { tiers[ssdIdx].SetBypass(active) }
-			}
+			eng := stack.NewEngine(clk)
 			eng.OnEvent = func(ev fault.Event, active bool) {
 				hub.Events.Append(shards.Now(), ev.Kind.String(), fmt.Sprintf("ssd=%d", ev.SSD), active)
 			}
@@ -453,24 +412,6 @@ func parseTierSize(s string, capacity int64) (int64, error) {
 		return int64(f * float64(capacity)), nil
 	}
 	return int64(f), nil
-}
-
-// parseClassWeights parses "-class-weights 4,2,1" into the scheduler's
-// QoS class weight vector.
-func parseClassWeights(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	weights := make([]int, 0, len(parts))
-	for _, p := range parts {
-		w, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("weight %q: %v", p, err)
-		}
-		if w < 1 {
-			return nil, fmt.Errorf("weight %d: must be >= 1", w)
-		}
-		weights = append(weights, w)
-	}
-	return weights, nil
 }
 
 func byteSize(n int64) string {

@@ -35,15 +35,12 @@ func main() {
 	// One JBOF: four fragmented SSDs behind Gimbal switches.
 	params := ssd.DCT983()
 	params.UsableBytes = 2 << 30
-	var devs []ssd.Device
+	st := fabric.NewStack(ssds, func(int) sim.Scheduler { return loop }, params, ssd.Fragmented, nil, rng)
 	capacities := make([]int64, 0, ssds)
-	for i := 0; i < ssds; i++ {
-		d := ssd.New(loop, params)
-		d.Precondition(ssd.Fragmented, rng.Fork())
-		devs = append(devs, d)
+	for _, d := range st.Devs {
 		capacities = append(capacities, d.Capacity())
 	}
-	target := fabric.NewTarget(loop, devs, fabric.DefaultTargetConfig(fabric.SchemeGimbal))
+	target := fabric.NewTarget(loop, st.Devs, fabric.DefaultTargetConfig(fabric.SchemeGimbal))
 
 	// Rack-scale mega-blob allocator shared by all instances.
 	bcfg := blobstore.DefaultConfig()

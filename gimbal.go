@@ -201,9 +201,7 @@ type JBOF struct {
 	sim      *Sim
 	target   *fabric.Target
 	scheme   fabric.Scheme
-	devices  []*ssd.SSD
-	wraps    []*fault.Device
-	tiers    []*tier.Device
+	stack    *fabric.Stack
 	engine   *fault.Engine
 	streams  []*Stream
 	planSeed uint64
@@ -252,64 +250,35 @@ func (s *Sim) NewJBOF(opts ...JBOFOption) (*JBOF, error) {
 		}
 	}
 	j := &JBOF{sim: s, scheme: scheme, classes: classes}
-	var tp tier.Params
+	var tp *tier.Params
 	if cfg.FastTierBytes > 0 {
-		tp = tier.DefaultParams(cfg.FastTierBytes)
-		if err := tp.Validate(); err != nil {
+		p := tier.DefaultParams(cfg.FastTierBytes)
+		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("gimbal: %w", err)
 		}
+		tp = &p
 	}
-	var devs []ssd.Device
-	for i := 0; i < cfg.SSDs; i++ {
-		d := ssd.New(s.loop, params)
-		if cfg.FastTierBytes > 0 {
-			// Tag before preconditioning: tiered and untiered stacks must
-			// not share an FTL snapshot cache entry.
-			d.SetSnapshotTag(tp.SnapshotTag())
-		}
-		d.Precondition(cond, s.rng.Fork())
-		w := fault.Wrap(s.loop, d)
-		var dev ssd.Device = w
-		if cfg.FastTierBytes > 0 {
-			// Tier outermost, above the fault layer, so NAND brownouts
-			// never slow tier hits.
-			ft := tier.New(s.loop, w, tp)
-			j.tiers = append(j.tiers, ft)
-			dev = ft
-		}
-		devs = append(devs, dev)
-		j.devices = append(j.devices, d)
-		j.wraps = append(j.wraps, w)
-	}
+	j.stack = fabric.NewStack(cfg.SSDs, func(int) sim.Scheduler { return s.loop }, params, cond, tp, s.rng)
 	tcfg := fabric.DefaultTargetConfig(scheme)
 	if cfg.QoSClasses != "" {
 		// Explicitly declared classes compile into the hierarchical DRR;
 		// the default menu leaves the scheduler flat (paper-identical).
 		tcfg.Gimbal.Sched.ClassWeights = classes.Compile().ClassWeights
 	}
-	j.target = fabric.NewTarget(s.loop, devs, tcfg)
-	for i, ft := range j.tiers {
-		if g := j.target.Pipeline(i).Gimbal; g != nil {
-			g.SetCostModel(ft)
-		}
-	}
-	j.engine = fault.NewEngine(s.loop, j.wraps)
-	j.engine.Stall = func(ssdIdx, die int, dur int64) error {
-		return j.devices[ssdIdx].InjectDieStall(die, dur)
-	}
-	j.engine.Fabric = j.applyFabricFault
-	if len(j.tiers) > 0 {
-		j.engine.Tier = func(ssdIdx int, active bool) { j.tiers[ssdIdx].SetBypass(active) }
+	j.target = fabric.NewTarget(s.loop, j.stack.Devs, tcfg)
+	j.engine = j.stack.NewEngine(s.loop)
+	j.engine.Fabric = func(ev fault.Event, active bool) {
+		j.streams[ev.Session].sess.ApplyFault(ev, active, j.planSeed)
 	}
 	return j, nil
 }
 
 // SSDCount returns the number of SSDs.
-func (j *JBOF) SSDCount() int { return len(j.devices) }
+func (j *JBOF) SSDCount() int { return len(j.stack.NAND) }
 
 func (j *JBOF) checkSSD(ssdIdx int) error {
-	if ssdIdx < 0 || ssdIdx >= len(j.devices) {
-		return fmt.Errorf("%w: %d of %d", ErrBadSSDIndex, ssdIdx, len(j.devices))
+	if ssdIdx < 0 || ssdIdx >= len(j.stack.NAND) {
+		return fmt.Errorf("%w: %d of %d", ErrBadSSDIndex, ssdIdx, len(j.stack.NAND))
 	}
 	return nil
 }
@@ -666,11 +635,11 @@ func (j *JBOF) InjectFaults(p FaultPlan) error {
 			Prob:    ev.Prob,
 		})
 	}
-	if err := ip.Validate(len(j.devices), len(j.streams)); err != nil {
+	if err := ip.Validate(len(j.stack.NAND), len(j.streams)); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadFaultPlan, err)
 	}
 	if j.scheme == fabric.SchemeGimbal {
-		for i := range j.devices {
+		for i := range j.stack.NAND {
 			if g := j.target.Pipeline(i).Gimbal; g != nil {
 				g.EnableRecovery(core.DefaultRecoveryConfig())
 			}
@@ -681,47 +650,6 @@ func (j *JBOF) InjectFaults(p FaultPlan) error {
 		return fmt.Errorf("%w: %v", ErrBadFaultPlan, err)
 	}
 	return nil
-}
-
-// applyFabricFault routes one armed fabric event to its stream's session.
-// LinkFaults state is created lazily with a seed derived from the plan
-// seed and the stream index, so the fault stream is deterministic
-// regardless of event order.
-func (j *JBOF) applyFabricFault(ev fault.Event, active bool) {
-	sess := j.streams[ev.Session].sess
-	if ev.Kind == fault.FabricDisconnect {
-		if active {
-			sess.Disconnect()
-		}
-		return
-	}
-	lf := sess.LinkFaults()
-	if lf == nil {
-		lf = fault.NewLinkFaults(j.planSeed ^ (uint64(ev.Session)+1)*0x9e3779b97f4a7c15)
-		sess.ArmLinkFaults(lf)
-	}
-	switch ev.Kind {
-	case fault.FabricDrop:
-		if active {
-			lf.SetDrop(ev.Prob)
-		} else {
-			lf.SetDrop(0)
-		}
-	case fault.FabricDuplicate:
-		if active {
-			lf.SetDuplicate(ev.Prob)
-		} else {
-			lf.SetDuplicate(0)
-		}
-	case fault.FabricDelay:
-		if active {
-			lf.SetDelay(ev.Extra)
-			lf.SetJitter(ev.Extra2)
-		} else {
-			lf.SetDelay(0)
-			lf.SetJitter(0)
-		}
-	}
 }
 
 // TierStats reports fast-tier counters for one SSD.
@@ -748,10 +676,10 @@ func (j *JBOF) TierStats(ssdIdx int) (TierStats, error) {
 	if err := j.checkSSD(ssdIdx); err != nil {
 		return TierStats{}, err
 	}
-	if len(j.tiers) == 0 {
+	if j.stack.Tiers == nil {
 		return TierStats{}, ErrNoTier
 	}
-	st := j.tiers[ssdIdx].Stats()
+	st := j.stack.Tiers[ssdIdx].Stats()
 	return TierStats{
 		Hits:               st.Hits,
 		Misses:             st.Misses,
@@ -773,7 +701,7 @@ func (j *JBOF) DeviceStats(ssdIdx int) (DeviceStats, error) {
 	if err := j.checkSSD(ssdIdx); err != nil {
 		return DeviceStats{}, err
 	}
-	st := j.devices[ssdIdx].Stats()
+	st := j.stack.NAND[ssdIdx].Stats()
 	return DeviceStats{
 		ReadBytes:          st.ReadBytes,
 		WriteBytes:         st.WriteBytes,

@@ -84,14 +84,11 @@ func runYCSB(cfg ycsbConfig, workloadName string, seed uint64) ycsbResult {
 	var targets []*fabric.Target
 	capacities := make([]int64, 0, nDev)
 	for j := 0; j < cfg.JBOFs; j++ {
-		var devs []ssd.Device
-		for s := 0; s < cfg.SSDsPer; s++ {
-			d := ssd.New(loop, params)
-			d.Precondition(ssd.Fragmented, rng.Fork())
-			devs = append(devs, d)
+		st := fabric.NewStack(cfg.SSDsPer, func(int) sim.Scheduler { return loop }, params, ssd.Fragmented, nil, rng)
+		for _, d := range st.Devs {
 			capacities = append(capacities, d.Capacity())
 		}
-		targets = append(targets, fabric.NewTarget(loop, devs, fabric.DefaultTargetConfig(cfg.Scheme)))
+		targets = append(targets, fabric.NewTarget(loop, st.Devs, fabric.DefaultTargetConfig(cfg.Scheme)))
 	}
 
 	bcfg := blobstore.DefaultConfig()

@@ -184,6 +184,9 @@ func New(clk sim.Scheduler, dev ssd.Device, cfg Config) *Switch {
 	sw.pumpFn = sw.pump
 	sw.costTickFn = sw.costTick
 	sw.devDoneFn = sw.onDeviceDone
+	if m, ok := dev.(CostModeler); ok {
+		sw.costModel = m
+	}
 	clk.After(cfg.CostPeriod, sw.costTickFn).MarkDaemon()
 	return sw
 }
@@ -201,8 +204,10 @@ func (sw *Switch) EnableRecovery(rc RecoveryConfig) { sw.cfg.Recovery = rc }
 
 // SetCostModel attaches a per-device cost model (a fast-tier wrapper);
 // the cost tick polls it and blends the write-cost estimate so upstream
-// DRR credits reflect where writes actually land. Call from scheduler
-// context before traffic; nil detaches.
+// DRR credits reflect where writes actually land. New adopts the device
+// itself when it implements CostModeler, so this is only needed when the
+// modeler sits below another wrapper. Call from scheduler context before
+// traffic; nil detaches.
 func (sw *Switch) SetCostModel(m CostModeler) { sw.costModel = m }
 
 // Unregister implements nvme.TenantRemover: it reclaims the tenant's DRR

@@ -89,7 +89,7 @@ func (t *Target) StatsSnapshot() *TargetStats {
 			s.DeferredTenants = g.DRR().DeferredTenants()
 			s.Queued = g.DRR().Queued()
 		}
-		if dev, ok := p.Dev.(*ssd.SSD); ok {
+		if dev := ssd.NAND(p.Dev); dev != nil {
 			st := dev.Stats()
 			s.Device = &DeviceStatsJSON{
 				ReadBytes:    st.ReadBytes,

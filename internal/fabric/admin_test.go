@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gimbal/internal/fault"
 	"gimbal/internal/nvme"
 	"gimbal/internal/obs"
 	"gimbal/internal/sim"
@@ -14,7 +15,8 @@ import (
 )
 
 // startObservedTCP builds a live Gimbal reactor target with the full
-// telemetry stack attached, as cmd/gimbald does: a hub registry for the
+// telemetry stack attached, as cmd/gimbald does: the SSD behind its fault
+// layer (which exports no telemetry of its own), a hub registry for the
 // transport gauges plus one registry shard per reactor gathered under
 // that reactor's lock and joined by an obs.Group, a full-capture tracer,
 // an SLO engine, and the shared event log.
@@ -25,7 +27,7 @@ func startObservedTCP(t *testing.T) (*TCPReactors, *obs.Hub, *obs.Group) {
 	p.UsableBytes = 256 << 20
 	dev := ssd.New(shards.Shard(0), p)
 	dev.Precondition(ssd.Clean, sim.NewRNG(1))
-	tgt := NewReactorTarget(shards, []ssd.Device{dev}, DefaultTargetConfig(SchemeGimbal))
+	tgt := NewReactorTarget(shards, []ssd.Device{fault.Wrap(shards.Shard(0), dev)}, DefaultTargetConfig(SchemeGimbal))
 
 	hub := obs.NewHub(obs.NewRegistry())
 	hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 1024, Mode: obs.TraceFull})

@@ -5,6 +5,7 @@ import (
 
 	"gimbal/internal/nvme"
 	"gimbal/internal/obs"
+	"gimbal/internal/ssd"
 )
 
 // tenantObs is the per-tenant accounting a target keeps when observed:
@@ -76,16 +77,7 @@ func (t *Target) attachObs(h *obs.Hub, regs []*obs.Registry) {
 			ph.Reg = reg
 			p.Gimbal.AttachObs(&ph, i)
 		}
-		// Interface assertion rather than *ssd.SSD: a fast-tier wrapper
-		// (internal/tier) exports its own instruments and chains to the
-		// NAND device underneath, while a bare fault wrapper — which has
-		// no telemetry of its own — keeps today's behavior of exporting
-		// nothing.
-		if dev, ok := p.Dev.(interface {
-			AttachObs(*obs.Registry, int)
-		}); ok {
-			dev.AttachObs(reg, i)
-		}
+		ssd.AttachObs(p.Dev, reg, i)
 		for _, tn := range p.tenants {
 			t.observeTenant(i, tn)
 		}

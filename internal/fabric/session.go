@@ -239,6 +239,37 @@ func (s *Session) ArmLinkFaults(lf *fault.LinkFaults) {
 // LinkFaults returns the armed frame-fault state, or nil.
 func (s *Session) LinkFaults() *fault.LinkFaults { return s.lf }
 
+// ApplyFault applies (active=true) or reverts (active=false) one armed
+// fabric fault event on this session: a disconnect tears it down, and the
+// link faults arm frame-fault state lazily, seeded from planSeed and the
+// event's session index so the fault stream does not depend on event
+// order.
+func (s *Session) ApplyFault(ev fault.Event, active bool, planSeed uint64) {
+	if ev.Kind == fault.FabricDisconnect {
+		if active {
+			s.Disconnect()
+		}
+		return
+	}
+	if s.lf == nil {
+		s.ArmLinkFaults(fault.NewLinkFaults(planSeed ^ (uint64(ev.Session)+1)*0x9e3779b97f4a7c15))
+	}
+	var prob float64
+	var delay, jitter int64
+	if active {
+		prob, delay, jitter = ev.Prob, ev.Extra, ev.Extra2
+	}
+	switch ev.Kind {
+	case fault.FabricDrop:
+		s.lf.SetDrop(prob)
+	case fault.FabricDuplicate:
+		s.lf.SetDuplicate(prob)
+	case fault.FabricDelay:
+		s.lf.SetDelay(delay)
+		s.lf.SetJitter(jitter)
+	}
+}
+
 // Closed reports whether the session has been disconnected.
 func (s *Session) Closed() bool { return s.closed }
 

@@ -4,19 +4,19 @@ import (
 	"fmt"
 
 	"gimbal/internal/sim"
+	"gimbal/internal/ssd"
 )
 
 // Engine arms a Plan onto a running deployment: it owns the fault layer of
-// every device and routes events it cannot apply itself (die stalls need
-// the concrete SSD; fabric faults live in the session layer above this
-// package) through caller-provided hooks. Timers are daemons, so an armed
+// every device, applies die stalls to the NAND model beneath each layer,
+// and routes events it cannot apply itself (fabric faults live in the
+// session layer above this package; tier bypass in the tier above the
+// fault layer) through caller-provided hooks. Timers are daemons, so an armed
 // plan never keeps the simulation alive past its workload.
 type Engine struct {
 	clk  sim.Scheduler
 	devs []*Device
 
-	// Stall applies a die stall to the underlying SSD model.
-	Stall func(ssd, die int, dur int64) error
 	// Fabric applies (active=true) or reverts (active=false) a fabric
 	// event on the addressed session.
 	Fabric func(ev Event, active bool)
@@ -49,8 +49,8 @@ func (e *Engine) Arm(p *Plan) error {
 		if ev.Kind.IsFabric() && e.Fabric == nil {
 			return fmt.Errorf("fault: plan has %s but no fabric hook", ev.Kind)
 		}
-		if ev.Kind == SSDDieStall && e.Stall == nil {
-			return fmt.Errorf("fault: plan has %s but no stall hook", ev.Kind)
+		if ev.Kind == SSDDieStall && ssd.NAND(e.devs[ev.SSD]) == nil {
+			return fmt.Errorf("fault: plan has %s but ssd %d has no NAND model", ev.Kind, ev.SSD)
 		}
 		if ev.Kind == SSDTierBypass && e.Tier == nil {
 			return fmt.Errorf("fault: plan has %s but no tier hook", ev.Kind)
@@ -85,7 +85,7 @@ func (e *Engine) apply(ev Event, active bool) {
 	case SSDFail:
 		e.devs[ev.SSD].SetFailed(active)
 	case SSDDieStall:
-		if err := e.Stall(ev.SSD, ev.Die, ev.Dur); err != nil {
+		if err := ssd.NAND(e.devs[ev.SSD]).InjectDieStall(ev.Die, ev.Dur); err != nil {
 			panic(err) // plan validated at Arm; a failure here is a bug
 		}
 	case SSDTierBypass:

@@ -182,6 +182,45 @@ func TestEngineAppliesWindows(t *testing.T) {
 	}
 }
 
+// TestEngineAppliesDieStallToNAND arms a die stall on an engine with no
+// hooks set: the engine finds the NAND model under its fault layer itself.
+func TestEngineAppliesDieStallToNAND(t *testing.T) {
+	loop := sim.NewLoop()
+	p := ssd.DCT983()
+	p.UsableBytes = 16 << 20
+	nand := ssd.New(loop, p)
+	nand.Precondition(ssd.Clean, sim.NewRNG(1))
+	d := Wrap(loop, nand)
+	e := NewEngine(loop, []*Device{d})
+	const stall = 5 * sim.Millisecond
+	if err := e.Arm(&Plan{Events: []Event{{Kind: SSDDieStall, At: sim.Millisecond, Dur: stall, Die: 3}}}); err != nil {
+		t.Fatalf("Arm: %v", err)
+	}
+	// Reads across many pages at 2ms: those on die 3 wait out the stall.
+	// At 10ms the stall is over and every read is fast again.
+	slow := map[int64]int{}
+	for _, at := range []int64{2 * sim.Millisecond, 10 * sim.Millisecond} {
+		at := at
+		for pg := int64(0); pg < 4*int64(p.Dies()); pg++ {
+			off := pg * int64(p.PageSize)
+			loop.At(at, func() {
+				d.Submit(&ssd.Request{Kind: ssd.OpRead, Offset: off, Size: p.PageSize, Done: func(r *ssd.Request) {
+					if r.Latency() >= stall/2 {
+						slow[at]++
+					}
+				}})
+			})
+		}
+	}
+	loop.Run()
+	if slow[2*sim.Millisecond] == 0 || slow[10*sim.Millisecond] != 0 {
+		t.Fatalf("slow reads during/after the stall = %d/%d, want >0/0", slow[2*sim.Millisecond], slow[10*sim.Millisecond])
+	}
+	if e.Fired != 1 {
+		t.Fatalf("Fired = %d, want 1", e.Fired)
+	}
+}
+
 func TestEngineRejectsUnroutableEvents(t *testing.T) {
 	loop := sim.NewLoop()
 	e := NewEngine(loop, []*Device{Wrap(loop, ssd.NewNull(loop, 1<<30, 0))})

@@ -84,6 +84,22 @@ type Device interface {
 	Capacity() int64
 }
 
+// NAND follows a wrapper chain (fault layer, fast tier, and the like: any
+// device with an Inner() Device method) down to the NAND model beneath it.
+// It returns nil when the chain ends in some other device (a NULL device).
+func NAND(dev Device) *SSD {
+	for {
+		switch d := dev.(type) {
+		case *SSD:
+			return d
+		case interface{ Inner() Device }:
+			dev = d.Inner()
+		default:
+			return nil
+		}
+	}
+}
+
 // Stats is a snapshot of device counters.
 type Stats struct {
 	ReadBytes    int64

@@ -16,6 +16,26 @@ type deviceObs struct {
 	flushedBytes  *obs.Counter
 }
 
+// AttachObs attaches the telemetry of the device stack dev under an ssd
+// label: it walks the wrapper chain to the first layer that exports
+// telemetry (a fast tier, or the NAND model itself) and attaches that
+// layer, which chains to the layers below it. Layers without telemetry of
+// their own (the fault wrapper) are skipped, so a wrapped SSD exports the
+// same families as a bare one and nothing is attached twice.
+func AttachObs(dev Device, reg *obs.Registry, ssdIdx int) {
+	for {
+		switch d := dev.(type) {
+		case interface{ AttachObs(*obs.Registry, int) }:
+			d.AttachObs(reg, ssdIdx)
+			return
+		case interface{ Inner() Device }:
+			dev = d.Inner()
+		default:
+			return
+		}
+	}
+}
+
 // AttachObs registers this SSD's telemetry into reg under an ssd label.
 // Call once, before traffic, from scheduler context.
 func (s *SSD) AttachObs(reg *obs.Registry, ssdIdx int) {

@@ -8,8 +8,8 @@ import (
 )
 
 // AttachObs registers the tier's telemetry into reg under the ssd label
-// and then attaches the wrapped chain's own telemetry (unwrapping fault
-// layers and the like), so a tiered pipeline exports both tier and NAND
+// and then attaches the wrapped chain's own telemetry (ssd.AttachObs skips
+// fault layers and the like), so a tiered pipeline exports both tier and NAND
 // instrument families. Everything is sampled at collection time from the
 // stats snapshot — the tier's hot path carries no instrument pointers.
 // Call once, before traffic, from scheduler context.
@@ -38,17 +38,5 @@ func (t *Device) AttachObs(reg *obs.Registry, ssdIdx int) {
 		return float64(t.table.used) / float64(t.nslots)
 	})
 
-	for dev := t.inner; ; {
-		if a, ok := dev.(interface {
-			AttachObs(*obs.Registry, int)
-		}); ok {
-			a.AttachObs(reg, ssdIdx)
-			return
-		}
-		u, ok := dev.(interface{ Inner() ssd.Device })
-		if !ok {
-			return
-		}
-		dev = u.Inner()
-	}
+	ssd.AttachObs(t.inner, reg, ssdIdx)
 }

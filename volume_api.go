@@ -107,12 +107,12 @@ func (j *JBOF) volumes() *volume.Manager {
 	j.sysTenant = nvme.NewTenant(j.nextID, "volume-system")
 	bc := blobstore.DefaultConfig()
 	bc.Replicas = 1
-	caps := make([]int64, len(j.devices))
-	backends := make([]*blobstore.Backend, len(j.devices))
-	for i := range j.devices {
+	caps := make([]int64, len(j.stack.NAND))
+	backends := make([]*blobstore.Backend, len(j.stack.NAND))
+	for i := range j.stack.NAND {
 		sess := j.target.Connect(j.sysTenant, i)
 		j.sysSess = append(j.sysSess, sess)
-		caps[i] = j.devices[i].Capacity()
+		caps[i] = j.stack.NAND[i].Capacity()
 		backends[i] = &blobstore.Backend{
 			Target:   sess,
 			Headroom: sess.Headroom,
@@ -223,7 +223,7 @@ func (v *Volume) Name() string { return v.name }
 // identity volume, the device's usable bytes).
 func (v *Volume) Capacity() int64 {
 	if v.v == nil {
-		return v.j.devices[v.raw].Capacity()
+		return v.j.stack.NAND[v.raw].Capacity()
 	}
 	return v.v.Size()
 }
@@ -371,8 +371,8 @@ func (v *Volume) StartWorkload(opts ...WorkloadOption) (*Stream, error) {
 				BackoffCap: spec.RetryBackoffCap,
 			}
 		}
-		sessions = make([]*fabric.Session, len(j.devices))
-		for i := range j.devices {
+		sessions = make([]*fabric.Session, len(j.stack.NAND))
+		for i := range j.stack.NAND {
 			sessions[i] = j.target.Connect(tenant, i)
 			if retry != nil {
 				sessions[i].SetRetryPolicy(*retry)
@@ -408,7 +408,7 @@ func (v *Volume) View() (View, error) {
 		return v.j.ssdView(v.raw)
 	}
 	var out View
-	for i := range v.j.devices {
+	for i := range v.j.stack.NAND {
 		sv, err := v.j.ssdView(i)
 		if err != nil {
 			return View{}, err
